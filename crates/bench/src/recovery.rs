@@ -13,10 +13,11 @@
 //! at or below [`MAX_OVERHEAD_PCT`].
 //!
 //! After the journaled run the store is recovered three ways — from the
-//! latest snapshot, from a mid-run snapshot, and from the bare journal
-//! with every snapshot withheld — timing each, which is the "recovery
-//! wall time vs journal length" trade the snapshot period buys. The
-//! recovered state must be digest-identical to the live loop's.
+//! latest snapshot, from a mid-run snapshot (copied out as the run passes
+//! it, since the store keeps only its newest two), and from the bare
+//! journal with every snapshot withheld — timing each, which is the
+//! "recovery wall time vs journal length" trade the snapshot period buys.
+//! The recovered state must be digest-identical to the live loop's.
 
 use crate::online::{run_config, FULL_MIN_EVENTS, SEED};
 use crate::trajectory::Scope;
@@ -144,31 +145,42 @@ fn run_with(cfg: &apple_sim::online::OnlineRunConfig) -> Vec<RecoveryRow> {
         SharedFabric::new(),
         CrashPoint::never(),
     );
-    let t0 = Instant::now();
+    // The store keeps only its newest snapshots, so the `mid` recovery's
+    // snapshot is copied out as the run passes it, off the clock.
+    let mid = mid_seq(events);
+    let mut mid_store = None;
+    let mut journaled_secs = 0.0;
+    let mut t0 = Instant::now();
     for event in timeline.events() {
         journaled
             .step(event, &NOOP)
             .expect("in-memory journal append cannot fail");
+        if Some(journaled.seq()) == mid {
+            journaled_secs += t0.elapsed().as_secs_f64();
+            mid_store = Some(store.inner());
+            t0 = Instant::now();
+        }
     }
-    let journaled_secs = t0.elapsed().as_secs_f64();
+    journaled_secs += t0.elapsed().as_secs_f64();
 
     let stats = journaled.journal_stats();
     let live_digest = state_digest(journaled.inner());
     let full = store.inner();
-    let last_snap = latest_seq(&full);
+    let last_snap = full
+        .snapshot_seqs()
+        .expect("in-memory store cannot fail")
+        .last()
+        .copied();
     let snapshot_bytes = last_snap
         .and_then(|s| full.snapshot_bytes(s).map(<[u8]>::len))
         .unwrap_or(0) as u64;
 
     let mut recoveries = Vec::new();
     recoveries.push(timed_recovery("latest", &setup, full.clone(), live_digest));
-    if let Some(mid) = mid_seq(&full) {
-        recoveries.push(timed_recovery(
-            "mid",
-            &setup,
-            with_snapshots_up_to(&full, mid),
-            live_digest,
-        ));
+    if let Some(mut mid_store) = mid_store {
+        // The mid-run snapshots over the whole run's journal.
+        mid_store.set_journal_bytes(full.journal_bytes().to_vec());
+        recoveries.push(timed_recovery("mid", &setup, mid_store, live_digest));
     }
     recoveries.push(timed_recovery(
         "none",
@@ -193,40 +205,12 @@ fn run_with(cfg: &apple_sim::online::OnlineRunConfig) -> Vec<RecoveryRow> {
     }]
 }
 
-fn latest_seq(store: &MemStore) -> Option<u64> {
-    store
-        .snapshot_seqs()
-        .expect("in-memory store cannot fail")
-        .into_iter()
-        .max()
-}
-
-/// The snapshot closest to the middle of the run, if distinct from the
-/// latest one.
-fn mid_seq(store: &MemStore) -> Option<u64> {
-    let last = latest_seq(store)?;
-    let target = last / 2;
-    let mid = store
-        .snapshot_seqs()
-        .expect("in-memory store cannot fail")
-        .into_iter()
-        .filter(|&s| s <= target)
-        .max()?;
-    (mid != last).then_some(mid)
-}
-
-/// A store with the full journal but only snapshots at or below `max`.
-fn with_snapshots_up_to(store: &MemStore, max: u64) -> MemStore {
-    let mut out = MemStore::new();
-    out.set_journal_bytes(store.journal_bytes().to_vec());
-    for s in store.snapshot_seqs().expect("in-memory store cannot fail") {
-        if s <= max {
-            if let Some(bytes) = store.snapshot_bytes(s) {
-                out.set_snapshot_bytes(s, bytes.to_vec());
-            }
-        }
-    }
-    out
+/// The newest snapshot at or below half the seq of the last snapshot an
+/// `events`-step run writes (`None` when the run writes fewer than two).
+fn mid_seq(events: u64) -> Option<u64> {
+    let last = events / SNAPSHOT_EVERY * SNAPSHOT_EVERY;
+    let mid = last / 2 / SNAPSHOT_EVERY * SNAPSHOT_EVERY;
+    (mid > 0).then_some(mid)
 }
 
 /// A store with the full journal and no snapshots at all.
@@ -331,8 +315,8 @@ fn require_num(obj: &Json, key: &str, path: &str) -> Result<f64, String> {
 /// supposed to demonstrate: journaling costs at most [`MAX_OVERHEAD_PCT`]
 /// of the plain loop's events/sec, every recovery reproduced the live
 /// state digest, and the three snapshot variants (`latest`, `none`, and
-/// `mid` when the run was long enough) are all present, with the
-/// journal-only replay covering at least as many records as the
+/// `mid` whenever the run wrote two or more snapshots) are all present,
+/// with the journal-only replay covering at least as many records as the
 /// snapshot-assisted ones.
 ///
 /// # Errors
@@ -402,6 +386,7 @@ pub fn check_recovery(text: &str) -> Result<(), String> {
             .as_arr()
             .ok_or_else(|| format!("{path}.recoveries: expected an array"))?;
         let mut seen_latest = false;
+        let mut seen_mid = false;
         let mut seen_none = false;
         let mut latest_replayed = 0.0;
         let mut none_replayed = 0.0;
@@ -428,13 +413,18 @@ pub fn check_recovery(text: &str) -> Result<(), String> {
                     seen_none = true;
                     none_replayed = replayed;
                 }
-                "mid" => {}
+                "mid" => seen_mid = true,
                 other => return Err(format!("{rpath}.label: unknown variant \"{other}\"")),
             }
         }
         if !seen_latest || !seen_none {
             return Err(format!(
                 "{path}.recoveries: needs both `latest` and `none` variants"
+            ));
+        }
+        if !seen_mid && require_num(s, "snapshots", &path)? >= 2.0 {
+            return Err(format!(
+                "{path}.recoveries: a run with two or more snapshots needs a `mid` variant"
             ));
         }
         if none_replayed < latest_replayed {
@@ -474,8 +464,9 @@ mod tests {
         assert!(r.events > 200, "mini timeline too short: {}", r.events);
         assert!(r.journal_records > r.events, "commits + barriers missing");
         assert!(r.snapshots >= 2, "mini run must snapshot at least twice");
-        assert!(r.recoveries.iter().any(|p| p.label == "latest"));
-        assert!(r.recoveries.iter().any(|p| p.label == "none"));
+        for label in ["latest", "mid", "none"] {
+            assert!(r.recoveries.iter().any(|p| p.label == label), "no {label}");
+        }
         for p in &r.recoveries {
             assert!(p.digest_match, "{} recovery diverged", p.label);
         }
@@ -493,10 +484,15 @@ mod tests {
         let text = recovery_json(&bad, Scope::Smoke, 1);
         assert!(check_recovery(&text).unwrap_err().contains("overhead_pct"));
 
-        let mut bad = rows;
+        let mut bad = rows.clone();
         bad[0].recoveries[0].digest_match = false;
         let text = recovery_json(&bad, Scope::Smoke, 1);
         assert!(check_recovery(&text).unwrap_err().contains("diverged"));
+
+        let mut bad = rows;
+        bad[0].recoveries.retain(|p| p.label != "mid");
+        let text = recovery_json(&bad, Scope::Smoke, 1);
+        assert!(check_recovery(&text).unwrap_err().contains("`mid`"));
     }
 
     #[test]

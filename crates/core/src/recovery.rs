@@ -465,11 +465,27 @@ fn decode_decision(r: &mut ByteReader<'_>) -> Result<OnlineDecision, DecodeError
 /// * cached-but-empty pair entries in the class aggregate (unobservable
 ///   through any query; routing re-derives on first touch).
 pub fn encode_state(l: &OrchestrationLoop) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let (hosts, instances, next_id) = l.orch.snapshot_parts();
+    let pairs: Vec<_> = l.inc.live_pair_flows().collect();
+    // Pre-sized from typical per-entry encodings (a live class with a
+    // four-hop path and a three-NF chain is ~190 bytes), so a snapshot of
+    // a few hundred KiB is written into one allocation instead of
+    // doubling its way up.
+    let flows: usize = pairs.iter().map(|(_, f)| f.len()).sum();
+    let mut w = ByteWriter::with_capacity(
+        64 + 21 * hosts.len()
+            + 17 * instances.len()
+            + 16 * l.placer.loads().len()
+            + 192 * l.live.len()
+            + 128 * l.rejected.len()
+            + 26 * l.tags.len()
+            + 96 * l.tag_decisions.len()
+            + 24 * pairs.len()
+            + 16 * flows,
+    );
     w.put_u8(SNAPSHOT_VERSION);
     w.put_u64(l.events_seen);
     w.put_bool(l.dp_dirty);
-    let (hosts, instances, next_id) = l.orch.snapshot_parts();
     w.put_usize(hosts.len());
     for (&switch, host) in hosts {
         w.put_usize(switch);
@@ -517,7 +533,6 @@ pub fn encode_state(l: &OrchestrationLoop) -> Vec<u8> {
             w.put_u64(id.0);
         }
     }
-    let pairs: Vec<_> = l.inc.live_pair_flows().collect();
     w.put_usize(pairs.len());
     for (&(src, dst), flows) in pairs {
         w.put_usize(src.0);
@@ -936,6 +951,16 @@ impl<S: JournalStore + 'static> JournaledLoop<S> {
         rec.counter("journal.bytes", after.bytes - before.bytes);
         if after.snapshots > before.snapshots {
             rec.counter("journal.snapshots", after.snapshots - before.snapshots);
+            rec.counter(
+                "journal.snapshot_bytes",
+                after.snapshot_bytes - before.snapshot_bytes,
+            );
+        }
+        if after.snapshots_pruned > before.snapshots_pruned {
+            rec.counter(
+                "journal.snapshots_pruned",
+                after.snapshots_pruned - before.snapshots_pruned,
+            );
         }
     }
 
@@ -997,9 +1022,10 @@ pub struct RecoveryReport {
 }
 
 /// Recover a controller from `store`: truncate any torn journal tail, load
-/// the newest snapshot that validates (falling back to older ones), replay
-/// the intent suffix, and hand back a journaled loop ready to continue on
-/// the same store — plus the [`RecoveryReport`] reconciliation needs.
+/// the newest snapshot that validates (falling back to the previous one,
+/// then to genesis), replay the intent suffix, and hand back a journaled
+/// loop ready to continue on the same store — plus the [`RecoveryReport`]
+/// reconciliation needs.
 ///
 /// Replay runs with the barrier observer *off*: the fabric already holds
 /// whatever the crashed run installed, and [`reconcile`] repairs it by

@@ -18,6 +18,13 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// A writer whose buffer holds `capacity` bytes before it reallocates.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }

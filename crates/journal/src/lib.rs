@@ -12,9 +12,10 @@
 //!   mismatch), truncates the journal back to the last valid frame
 //!   boundary, and reports how many bytes were discarded.
 //! - **Snapshots**: opaque state blobs keyed by a monotonically increasing
-//!   sequence number, stored with the same checksummed envelope. An
-//!   invalid (torn) snapshot is skipped and recovery falls back to the
-//!   previous valid one.
+//!   sequence number, stored with the same checksummed envelope. Only the
+//!   newest [`SNAPSHOTS_RETAINED`] are kept. An invalid (torn) snapshot is
+//!   skipped and recovery falls back to the previous one, then to a redo
+//!   of the whole journal, which is never compacted.
 //! - **Storage trait**: [`JournalStore`] abstracts the byte sink so tests
 //!   can run against an in-memory store (including one shared across a
 //!   simulated crash boundary) while deployments use the file backend.
@@ -32,4 +33,6 @@ mod wal;
 
 pub use crc::crc32;
 pub use store::{FileStore, JournalStore, MemStore, SharedMemStore, StoreError};
-pub use wal::{Journal, JournalError, JournalStats, Recovered, FRAME_HEADER_BYTES};
+pub use wal::{
+    Journal, JournalError, JournalStats, Recovered, FRAME_HEADER_BYTES, SNAPSHOTS_RETAINED,
+};

@@ -60,7 +60,12 @@ pub trait JournalStore {
     fn truncate_journal(&mut self, len: u64) -> Result<(), StoreError>;
 
     /// Store (or overwrite) the snapshot blob for sequence number `seq`.
-    fn put_snapshot(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError>;
+    /// The blob is taken by value so an in-memory backend keeps it
+    /// without a copy.
+    fn put_snapshot(&mut self, seq: u64, bytes: Vec<u8>) -> Result<(), StoreError>;
+
+    /// Delete the snapshot blob for `seq` (a no-op when absent).
+    fn remove_snapshot(&mut self, seq: u64) -> Result<(), StoreError>;
 
     /// All snapshot sequence numbers present, ascending.
     fn snapshot_seqs(&self) -> Result<Vec<u64>, StoreError>;
@@ -121,8 +126,13 @@ impl JournalStore for MemStore {
         Ok(())
     }
 
-    fn put_snapshot(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError> {
-        self.snapshots.insert(seq, bytes.to_vec());
+    fn put_snapshot(&mut self, seq: u64, bytes: Vec<u8>) -> Result<(), StoreError> {
+        self.snapshots.insert(seq, bytes);
+        Ok(())
+    }
+
+    fn remove_snapshot(&mut self, seq: u64) -> Result<(), StoreError> {
+        self.snapshots.remove(&seq);
         Ok(())
     }
 
@@ -175,8 +185,12 @@ impl JournalStore for SharedMemStore {
         self.0.borrow_mut().truncate_journal(len)
     }
 
-    fn put_snapshot(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError> {
+    fn put_snapshot(&mut self, seq: u64, bytes: Vec<u8>) -> Result<(), StoreError> {
         self.0.borrow_mut().put_snapshot(seq, bytes)
+    }
+
+    fn remove_snapshot(&mut self, seq: u64) -> Result<(), StoreError> {
+        self.0.borrow_mut().remove_snapshot(seq)
     }
 
     fn snapshot_seqs(&self) -> Result<Vec<u64>, StoreError> {
@@ -250,16 +264,26 @@ impl JournalStore for FileStore {
         self.journal.set_len(len).map_err(io_err("truncate"))
     }
 
-    fn put_snapshot(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError> {
+    fn put_snapshot(&mut self, seq: u64, bytes: Vec<u8>) -> Result<(), StoreError> {
         // Write-then-rename so a crash mid-snapshot never clobbers an
         // existing valid blob with a torn one.
         let tmp = self.dir.join(format!("snap-{seq:020}.tmp"));
         {
             let mut f = File::create(&tmp).map_err(io_err("create snapshot"))?;
-            f.write_all(bytes).map_err(io_err("write snapshot"))?;
+            f.write_all(&bytes).map_err(io_err("write snapshot"))?;
             f.flush().map_err(io_err("flush snapshot"))?;
         }
         fs::rename(&tmp, self.snapshot_path(seq)).map_err(io_err("rename snapshot"))
+    }
+
+    fn remove_snapshot(&mut self, seq: u64) -> Result<(), StoreError> {
+        match fs::remove_file(self.snapshot_path(seq)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(StoreError::Io {
+                op: "remove snapshot",
+                source: e,
+            }),
+            _ => Ok(()),
+        }
     }
 
     fn snapshot_seqs(&self) -> Result<Vec<u64>, StoreError> {

@@ -7,6 +7,12 @@ use std::fmt;
 /// Bytes of framing overhead per record: `[len: u32][crc32: u32]`.
 pub const FRAME_HEADER_BYTES: usize = 8;
 
+/// Snapshots kept in the store: [`Journal::put_snapshot`] removes all but
+/// the newest this many. Recovery reads the newest valid one and falls
+/// back to the previous one, then to genesis redo over the journal,
+/// which is never truncated below its last valid frame.
+pub const SNAPSHOTS_RETAINED: usize = 2;
+
 /// Failure in the journal layer.
 #[derive(Debug)]
 pub enum JournalError {
@@ -50,8 +56,10 @@ pub struct JournalStats {
     pub bytes: u64,
     /// Snapshots written.
     pub snapshots: u64,
-    /// Bytes of the most recent snapshot (envelope included).
-    pub last_snapshot_bytes: u64,
+    /// Total bytes of the snapshots written (envelope included).
+    pub snapshot_bytes: u64,
+    /// Older snapshots removed by the retention bound.
+    pub snapshots_pruned: u64,
 }
 
 /// Result of a recovery scan over a store.
@@ -116,12 +124,20 @@ impl<S: JournalStore> Journal<S> {
     }
 
     /// Write a snapshot blob for `seq`, wrapped in the same checksummed
-    /// envelope as a record so torn snapshots are detectable.
+    /// envelope as a record so torn snapshots are detectable, then remove
+    /// every snapshot but the newest [`SNAPSHOTS_RETAINED`].
     pub fn put_snapshot(&mut self, seq: u64, payload: &[u8]) -> Result<(), JournalError> {
         let framed = Self::frame(payload);
-        self.store.put_snapshot(seq, &framed)?;
+        let framed_len = framed.len() as u64;
+        self.store.put_snapshot(seq, framed)?;
         self.stats.snapshots += 1;
-        self.stats.last_snapshot_bytes = framed.len() as u64;
+        self.stats.snapshot_bytes += framed_len;
+        let seqs = self.store.snapshot_seqs()?;
+        let excess = seqs.len().saturating_sub(SNAPSHOTS_RETAINED);
+        for &old in &seqs[..excess] {
+            self.store.remove_snapshot(old)?;
+        }
+        self.stats.snapshots_pruned += excess as u64;
         Ok(())
     }
 

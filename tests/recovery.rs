@@ -32,7 +32,7 @@ use apple_nfv::core::recovery::{
 use apple_nfv::core::verify::verify_shares;
 use apple_nfv::faults::crash::{install_quiet_kill_hook, kill_of};
 use apple_nfv::faults::{CrashPoint, CrashSite};
-use apple_nfv::journal::{Journal, MemStore, SharedMemStore};
+use apple_nfv::journal::{FileStore, Journal, JournalStore, MemStore, SharedMemStore};
 use apple_nfv::nf::InstanceId;
 use apple_nfv::sim::repair_conformance;
 use apple_nfv::telemetry::{MemoryRecorder, NOOP};
@@ -621,5 +621,122 @@ fn southbound_fixture_freezes_partially_acked_tail() {
         encode_state(recovered.inner()),
         twin_final,
         "southbound fixture recovery must converge bitwise on the twin"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot retention (DESIGN.md §11).
+//
+// `Journal::put_snapshot` keeps only the newest two snapshots. The journal
+// itself is never compacted, so recovery can still fall back from the
+// newest snapshot to the previous one and then to a genesis redo.
+// ---------------------------------------------------------------------------
+
+const RETENTION_SEED: u64 = SEED ^ 0x5e7;
+const RETENTION_SNAPSHOT_EVERY: u64 = 8;
+
+fn retention_setup() -> RecoverySetup {
+    RecoverySetup {
+        recovery: RecoveryConfig {
+            snapshot_every: RETENTION_SNAPSHOT_EVERY,
+        },
+        ..setup()
+    }
+}
+
+/// Steps the retention timeline over `store` and returns the live loop.
+fn retention_run<S: JournalStore + 'static>(s: &RecoverySetup, store: S) -> JournaledLoop<S> {
+    let mut jl = JournaledLoop::new(s, store, SharedFabric::new(), CrashPoint::never());
+    for e in &events(RETENTION_SEED) {
+        jl.step(e, &NOOP).expect("retention run");
+    }
+    let written = jl.seq() / RETENTION_SNAPSHOT_EVERY;
+    assert!(written > 2, "retention run writes only {written} snapshots");
+    assert_eq!(jl.journal_stats().snapshots, written);
+    assert_eq!(jl.journal_stats().snapshots_pruned, written - 2);
+    jl
+}
+
+/// The two snapshot sequence numbers a run of `jl`'s length keeps.
+fn newest_two<S: JournalStore + 'static>(jl: &JournaledLoop<S>) -> Vec<u64> {
+    let last = jl.seq() / RETENTION_SNAPSHOT_EVERY * RETENTION_SNAPSHOT_EVERY;
+    vec![last - RETENTION_SNAPSHOT_EVERY, last]
+}
+
+#[test]
+fn snapshot_retention_keeps_the_newest_two() {
+    let s = retention_setup();
+    let store = SharedMemStore::new();
+    let jl = retention_run(&s, store.clone());
+    assert_eq!(store.snapshot_seqs().unwrap(), newest_two(&jl));
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("snapshot-retention");
+    let _ = std::fs::remove_dir_all(&dir);
+    let jl = retention_run(&s, FileStore::open(&dir).expect("open store"));
+    let reopened = FileStore::open(&dir).expect("reopen store");
+    assert_eq!(reopened.snapshot_seqs().unwrap(), newest_two(&jl));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list store")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("snap-"))
+        .collect();
+    files.sort();
+    let want: Vec<String> = newest_two(&jl)
+        .iter()
+        .map(|seq| format!("snap-{seq:020}.bin"))
+        .collect();
+    assert_eq!(files, want, "only the newest two snapshot files remain");
+    std::fs::remove_dir_all(&dir).expect("clean up store");
+}
+
+/// Flips the last payload byte of the snapshot at `seq`.
+fn corrupt_snapshot(store: &SharedMemStore, seq: u64) {
+    store.with_mut(|m| {
+        let mut blob = m.snapshot_bytes(seq).expect("retained snapshot").to_vec();
+        *blob.last_mut().expect("non-empty blob") ^= 0x01;
+        m.set_snapshot_bytes(seq, blob);
+    });
+}
+
+#[test]
+fn corrupt_newest_snapshot_falls_back_to_the_previous_one() {
+    let s = retention_setup();
+    let store = SharedMemStore::new();
+    let jl = retention_run(&s, store.clone());
+    let [prev, newest] = newest_two(&jl)[..] else {
+        unreachable!()
+    };
+    corrupt_snapshot(&store, newest);
+    let (recovered, report) =
+        recover(&s, store.inner(), SharedFabric::new(), &NOOP).expect("recover");
+    assert_eq!(report.snapshot_seq, Some(prev));
+    assert_eq!(
+        state_digest(recovered.inner()),
+        state_digest(jl.inner()),
+        "recovery from the previous snapshot must reach the twin"
+    );
+}
+
+#[test]
+fn both_snapshots_corrupt_falls_back_to_genesis_redo() {
+    let s = retention_setup();
+    let store = SharedMemStore::new();
+    let jl = retention_run(&s, store.clone());
+    for seq in newest_two(&jl) {
+        corrupt_snapshot(&store, seq);
+    }
+    let (recovered, report) =
+        recover(&s, store.inner(), SharedFabric::new(), &NOOP).expect("recover");
+    assert_eq!(report.snapshot_seq, None, "no valid snapshot is left");
+    assert_eq!(report.records_replayed, jl.seq());
+    assert_eq!(
+        state_digest(recovered.inner()),
+        state_digest(jl.inner()),
+        "genesis redo must reach the twin"
     );
 }
